@@ -8,6 +8,7 @@
 #include "common/expect.h"
 #include "common/geometry.h"
 #include "fds/messages.h"
+#include "fds/round_plan.h"
 #include "radio/payload.h"
 #include "transport/reception.h"
 
@@ -167,7 +168,7 @@ std::optional<Violation> CheckWorld::run() {
   std::optional<std::string> defect = quiescence_defect();
   CFDS_EXPECT(defect.has_value(), "probe loop exited without a defect");
   cur_epoch_ = opts_.epochs + opts_.quiesce_max - 1;
-  cur_barrier_ = 5;
+  cur_barrier_ = kPlanCrossings - 1;
   flag("quiescence", "not quiescent after " +
                          std::to_string(opts_.quiesce_max) +
                          " benign executions: " + *defect);
@@ -175,7 +176,7 @@ std::optional<Violation> CheckWorld::run() {
 }
 
 bool CheckWorld::run_epoch(std::uint64_t epoch) {
-  for (std::uint32_t k = 0; k < 6; ++k) {
+  for (std::uint32_t k = 0; k < kPlanCrossings; ++k) {
     if (!crossing(epoch, k)) return false;
   }
   return true;
@@ -401,17 +402,21 @@ void CheckWorld::note_evidence(std::uint32_t receiver, const PoolMsg& msg) {
 
 void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
   // Crash menus open where they hit distinct protocol windows: before the
-  // execution (barrier 0: silent all epoch), between digests and the
-  // update (barrier 2: CH dies without sending), and after update
-  // delivery (barrier 3: CH dies having spoken). Recoveries only at the
-  // execution boundary.
-  if (barrier != 0 && barrier != 2 && barrier != 3) return;
+  // execution (R-1: silent all epoch), between digests and the update
+  // (R-3: CH dies without sending), and after update delivery (deputy
+  // check: CH dies having spoken). Recoveries only at the execution
+  // boundary.
+  const std::uint32_t boundary = step_hops(RoundStep::kHeartbeat);
+  if (barrier != boundary && barrier != step_hops(RoundStep::kUpdate) &&
+      barrier != step_hops(RoundStep::kDeputy)) {
+    return;
+  }
   struct Option {
     bool recover;
     std::uint32_t idx;
   };
   std::vector<Option> menu;
-  if (barrier == 0 && recoveries_left_ > 0) {
+  if (barrier == boundary && recoveries_left_ > 0) {
     for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
       if (!nodes_[i]->alive()) menu.push_back({true, i});
     }
@@ -424,7 +429,7 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
   if (menu.empty()) return;
   const std::uint32_t c =
       choose(std::uint32_t(menu.size()) + 1, ChoiceKind::kFault,
-             epoch * 6 + barrier, 0);
+             epoch * kPlanCrossings + barrier, 0);
   if (c == 0) return;
   const Option& op = menu[c - 1];
   if (op.recover) {
@@ -440,28 +445,13 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
 }
 
 void CheckWorld::round_actions(std::uint64_t epoch, std::uint32_t barrier) {
-  // Ascending-NID order, matching FdsService's per-agent scheduling (ties
-  // at one instant execute in schedule order). Agents guard on their own
-  // liveness internally.
-  switch (barrier) {
-    case 0:
-      for (auto& a : agents_) a->begin_epoch(epoch);
-      for (auto& a : agents_) a->round1_heartbeat();
-      break;
-    case 1:
-      for (auto& a : agents_) a->round2_digest();
-      break;
-    case 2:
-      for (auto& a : agents_) a->round3_update();
-      break;
-    case 3:
-      for (auto& a : agents_) a->deputy_check();
-      break;
-    case 4:
-      for (auto& a : agents_) a->completeness_check();
-      break;
-    default:
-      break;  // barrier 5 only resolves deliveries (requests, forwards)
+  // The plan's steps due at this crossing, each over every agent in
+  // ascending-NID order, like FdsService's sweeps. kBegin reaches dead
+  // agents too; later steps guard on liveness inside the agent. The last
+  // crossing has no step: it only resolves requests and forwards.
+  for (const PlannedStep& s : kRoundPlan) {
+    if (s.hops != barrier) continue;
+    for (auto& a : agents_) a->run_step(s.step, epoch);
   }
 }
 

@@ -5,12 +5,13 @@
 // check-owned Transport/TimerService implementations. Instead of a
 // stochastic channel, every frame an agent sends is parked in an in-flight
 // pool and resolved at the next barrier: a crossing happens every Thop
-// (six per FDS execution, one per round offset), and at each crossing the
-// world asks its ChoiceSink to decide every open nondeterministic point —
-// which in-flight frames are dropped, in what order survivors are
-// delivered, and whether a node crashes or recovers. The explorer
-// (src/check/explorer.h) enumerates those choice sequences exhaustively
-// within budgets; a replay sink pins them to reproduce a counterexample.
+// (kPlanCrossings per FDS execution, from fds/round_plan.h), and at each
+// crossing the world asks its ChoiceSink to decide every open
+// nondeterministic point — which in-flight frames are dropped, in what
+// order survivors are delivered, and whether a node crashes or recovers.
+// The explorer (src/check/explorer.h) enumerates those choice sequences
+// exhaustively within budgets; a replay sink pins them to reproduce a
+// counterexample.
 //
 // Between choices the world checks safety properties:
 //
@@ -129,7 +130,7 @@ struct Violation {
   std::string invariant;  ///< "I-V1".."I-V7", "quiescence"
   std::string detail;
   std::uint64_t epoch = 0;
-  std::uint32_t barrier = 0;  ///< crossing index within the epoch, 0..5
+  std::uint32_t barrier = 0;  ///< crossing index within the epoch
 };
 
 /// The explorer side of a run: resolves every choice point and learns
@@ -257,7 +258,7 @@ class CheckWorld {
     SimTime sent_at;
   };
 
-  /// Runs crossings 0..5 of execution `epoch`; false = stop (violation or
+  /// Runs the crossings of execution `epoch`; false = stop (violation or
   /// prune).
   bool run_epoch(std::uint64_t epoch);
   bool crossing(std::uint64_t epoch, std::uint32_t barrier);

@@ -25,6 +25,19 @@ const char* to_string(FaultKind kind) {
   return "?";
 }
 
+SimTime clock_drift(const std::vector<FaultEvent>& events, std::uint32_t node,
+                    std::uint64_t base_epoch, std::uint64_t epoch) {
+  std::int64_t total_us = 0;
+  for (const FaultEvent& d : events) {
+    if (d.kind != FaultKind::kClockDrift || d.node != node) continue;
+    const std::uint64_t s = base_epoch + d.start_epoch;
+    if (epoch >= s && epoch < base_epoch + d.end_epoch) {
+      total_us += d.per_epoch_us * std::int64_t(epoch - s + 1);
+    }
+  }
+  return SimTime::micros(std::max<std::int64_t>(total_us, 0));
+}
+
 namespace {
 
 [[nodiscard]] std::optional<FaultKind> kind_from(const std::string& name) {

@@ -124,22 +124,9 @@ void FaultInjector::install(const FaultPlan& plan) {
   }
 
   if (!drifts_.empty()) {
-    scenario_.fds().set_skew_provider(
-        [this](NodeId id, std::uint64_t epoch) {
-          SimTime extra = SimTime::zero();
-          for (const FaultEvent& d : drifts_) {
-            if (d.node != id.value()) continue;
-            const std::uint64_t s = base_epoch_ + d.start_epoch;
-            const std::uint64_t e = base_epoch_ + d.end_epoch;
-            if (epoch >= s && epoch < e) {
-              // Linear ramp: one increment per elapsed epoch; past
-              // end_epoch the contribution drops to zero (clock resync).
-              extra += SimTime::micros(d.per_epoch_us *
-                                       std::int64_t(epoch - s + 1));
-            }
-          }
-          return extra;
-        });
+    scenario_.fds().set_skew_provider([this](NodeId id, std::uint64_t epoch) {
+      return clock_drift(drifts_, id.value(), base_epoch_, epoch);
+    });
   }
 }
 

@@ -64,11 +64,6 @@ void FdsAgent::on_lifecycle(bool alive) {
   // restarts unaffiliated and unmarked, so its next heartbeat is a fresh
   // membership subscription (F5) and the lowest-NID affiliation rules of
   // Section 3 re-run naturally through the admission path.
-  // Under batched scheduling this agent received no begin_epoch calls while
-  // dead; catch the epoch counter up first so post-recovery bookkeeping
-  // (last_unmarked_epoch_, revert diagnostics, log records) stamps the
-  // execution the node actually rejoined.
-  if (epoch_clock_) epoch_ = *epoch_clock_;
   view_.clear();
   node_.set_marked(false);
   log_.clear();
@@ -129,6 +124,17 @@ double FdsAgent::energy_fraction() const {
 ReportId FdsAgent::fresh_report_id() {
   return ReportId{(std::uint64_t(node_.id().value()) << 32) |
                   ++report_counter_};
+}
+
+void FdsAgent::run_step(RoundStep step, std::uint64_t epoch) {
+  switch (step) {
+    case RoundStep::kBegin: begin_epoch(epoch); break;
+    case RoundStep::kHeartbeat: round1_heartbeat(); break;
+    case RoundStep::kDigest: round2_digest(); break;
+    case RoundStep::kUpdate: round3_update(); break;
+    case RoundStep::kDeputy: deputy_check(); break;
+    case RoundStep::kCompleteness: completeness_check(); break;
+  }
 }
 
 // LINT-ROUND-PATH: per-epoch for every agent; allocation-free in steady
@@ -990,8 +996,7 @@ void FdsAgent::on_frame(const Reception& reception) {
 FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
                        FdsConfig config)
     : network_(network), config_(config), timers_(network.simulator()) {
-  const SimTime t_hop = network_.channel().config().t_hop;
-  config_.validate(t_hop);
+  config_.validate(network_.channel().config().t_hop);
   agents_.reserve(network_.nodes().size());
   transports_.reserve(network_.nodes().size());
   active_.reserve(network_.nodes().size());
@@ -999,36 +1004,7 @@ FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
     CFDS_EXPECT(node->id().value() < views.size() &&
                     views[node->id().value()] != nullptr,
                 "missing membership view");
-    transports_.push_back(std::make_unique<SimTransport>(*node));
-    agents_.push_back(std::make_unique<FdsAgent>(
-        *node, *views[node->id().value()], *transports_.back(), timers_,
-        t_hop, config_, hooks_));
-    if (node->alive()) active_.push_back(std::uint32_t(agents_.size() - 1));
-    watch_lifecycle(*node, agents_.size() - 1);
-  }
-}
-
-void FdsService::watch_lifecycle(Node& node, std::size_t idx) {
-  // Crash/recover events arrive as their own simulator events, never from
-  // inside a round sweep (fault injector, bench harnesses, world ops), so
-  // editing active_ here cannot invalidate an in-flight sweep.
-  node.add_lifecycle_handler([this, idx](bool alive) {
-    const auto it = std::lower_bound(active_.begin(), active_.end(),
-                                     std::uint32_t(idx));
-    const bool present = it != active_.end() && *it == std::uint32_t(idx);
-    if (alive && !present) {
-      active_.insert(it, std::uint32_t(idx));
-    } else if (!alive && present) {
-      active_.erase(it);
-    }
-  });
-}
-
-void FdsService::install_epoch_clocks(bool install) {
-  if (epoch_clocks_installed_ == install) return;
-  epoch_clocks_installed_ = install;
-  for (auto& a : agents_) {
-    a->set_epoch_clock(install ? &current_epoch_ : nullptr);
+    adopt_node(*node, *views[node->id().value()]);
   }
 }
 
@@ -1053,73 +1029,56 @@ FdsAgent& FdsService::agent_for(NodeId id) {
 }
 
 FdsAgent& FdsService::adopt_node(Node& node, MembershipView& view) {
+  const auto idx = std::uint32_t(agents_.size());
   transports_.push_back(std::make_unique<SimTransport>(node));
   agents_.push_back(std::make_unique<FdsAgent>(
       node, view, *transports_.back(), timers_,
       network_.channel().config().t_hop, config_, hooks_));
-  if (epoch_clocks_installed_) agents_.back()->set_epoch_clock(&current_epoch_);
-  if (node.alive()) {
-    active_.push_back(std::uint32_t(agents_.size() - 1));
-  }
-  watch_lifecycle(node, agents_.size() - 1);
+  if (node.alive()) active_.push_back(idx);
+  // Keeps active_ in step with liveness, and hands a recovering agent the
+  // epoch it skipped while dead (this runs after the agent's own handler,
+  // which reads no epoch). Crash/recover events arrive as their own
+  // simulator events, never from inside a round sweep, so editing active_
+  // here cannot invalidate an in-flight sweep.
+  node.add_lifecycle_handler([this, idx](bool alive) {
+    const auto it = std::lower_bound(active_.begin(), active_.end(), idx);
+    const bool present = it != active_.end() && *it == idx;
+    if (alive && !present) {
+      active_.insert(it, idx);
+      agents_[idx]->epoch_ = current_epoch_;
+    } else if (!alive && present) {
+      active_.erase(it);
+    }
+  });
   return *agents_.back();
 }
 
 void FdsService::schedule_epoch(std::uint64_t epoch, SimTime t) {
-  Simulator& sim = network_.simulator();
   const SimTime t_hop = network_.channel().config().t_hop;
   if (config_.max_clock_skew == SimTime::zero() && !skew_provider_) {
-    // Common case: one event per round sweeps the alive agents, in NID
-    // order — identical firing order to the historical sweep over all
-    // agents, because a dead agent's round actions are unconditional
-    // no-ops. Idle (dead) nodes therefore cost nothing per round, which is
-    // what keeps mostly-failed megascale worlds cheap. active_ is read at
-    // fire time, so a node recovering between rounds rejoins mid-epoch
-    // exactly as it did under the full sweep.
-    install_epoch_clocks(true);
-    auto all = [this](void (FdsAgent::*action)()) {
-      return [this, action] {
-        for (std::uint32_t idx : active_) (agents_[idx].get()->*action)();
-      };
-    };
-    sim.schedule_at(t, [this, epoch] {
-      current_epoch_ = epoch;
-      for (std::uint32_t idx : active_) agents_[idx]->begin_epoch(epoch);
+    // One event per step sweeps the alive agents in NID order; active_ is
+    // read at fire time, so a node recovering mid-execution joins at the
+    // next step.
+    schedule_execution(timers_, t, t_hop, [this, epoch](RoundStep step) {
+      if (step == RoundStep::kBegin) current_epoch_ = epoch;
+      for (std::uint32_t idx : active_) agents_[idx]->run_step(step, epoch);
     });
-    sim.schedule_at(t, all(&FdsAgent::round1_heartbeat));
-    sim.schedule_at(t + t_hop, all(&FdsAgent::round2_digest));
-    sim.schedule_at(t + 2 * t_hop, all(&FdsAgent::round3_update));
-    sim.schedule_at(t + 3 * t_hop, all(&FdsAgent::deputy_check));
-    sim.schedule_at(t + 4 * t_hop, all(&FdsAgent::completeness_check));
     return;
   }
-  // Per-agent scheduling below reaches dead agents too (begin_epoch keeps
-  // their epoch_ current), so the recovery-time epoch catch-up must not
-  // also fire.
-  install_epoch_clocks(false);
-  // Skewed clocks: each agent runs its rounds shifted by its own fixed
-  // offset in [0, max_clock_skew] — derived from its NID so the offset is
-  // stable across epochs, like a real mis-set clock. A skew provider (the
-  // fault injector's ClockDriftRamp) adds a per-epoch offset on top.
+  // Phased clocks: every agent runs the plan from its own offset, alive
+  // agents only, exactly as the sweep would.
   for (auto& agent : agents_) {
-    SimTime skew = SimTime::zero();
-    if (config_.max_clock_skew != SimTime::zero()) {
-      std::uint64_t sm = agent->id().value() ^ 0x5CE4;
-      const double frac = double(splitmix64(sm) >> 11) * 0x1.0p-53;
-      skew = SimTime::micros(
-          std::int64_t(frac * double(config_.max_clock_skew.as_micros())));
-    }
-    if (skew_provider_) {
-      const SimTime extra = skew_provider_(agent->id(), epoch);
-      if (extra.as_micros() > 0) skew = skew + extra;
-    }
     FdsAgent* a = agent.get();
-    sim.schedule_at(t + skew, [a, epoch] { a->begin_epoch(epoch); });
-    sim.schedule_at(t + skew, [a] { a->round1_heartbeat(); });
-    sim.schedule_at(t + skew + t_hop, [a] { a->round2_digest(); });
-    sim.schedule_at(t + skew + 2 * t_hop, [a] { a->round3_update(); });
-    sim.schedule_at(t + skew + 3 * t_hop, [a] { a->deputy_check(); });
-    sim.schedule_at(t + skew + 4 * t_hop, [a] { a->completeness_check(); });
+    const SimTime drift =
+        skew_provider_ ? skew_provider_(a->id(), epoch) : SimTime::zero();
+    const SimTime start =
+        t + round_offset(a->id(), config_.max_clock_skew, drift);
+    schedule_execution(timers_, start, t_hop, [this, a, epoch](RoundStep step) {
+      if (step == RoundStep::kBegin) {
+        current_epoch_ = std::max(current_epoch_, epoch);
+      }
+      if (a->node_.alive()) a->run_step(step, epoch);
+    });
   }
 }
 

@@ -2,19 +2,10 @@
 //
 // Executes the node's part of the three-round service (Section 4.2) every
 // heartbeat interval, under whatever role its MembershipView currently
-// assigns. Round offsets within an execution starting at epoch time T
-// (Thop is the one-hop bound of the channel):
-//
-//   T          fds.R-1  every alive node sends its heartbeat
-//   T + Thop   fds.R-2  members and the CH exchange digests
-//   T + 2Thop  fds.R-3  the CH runs the detection rule and broadcasts the
-//                       health-status update
-//   T + 3Thop           the highest-ranked DCH applies the CH-failure rule;
-//                       on detection it broadcasts a takeover update
-//   T + 4Thop           members missing the update broadcast forwarding
-//                       requests; holders answer after unique waiting
-//                       periods; the first success is acknowledged and the
-//                       other candidates stand down
+// assigns. The steps and their offsets are the plan in fds/round_plan.h;
+// after the completeness step, holders answer forwarding requests after
+// unique waiting periods, the first success is acknowledged and the other
+// candidates stand down.
 //
 // All frames are emitted onto the promiscuous channel, so digests reach
 // deputies, updates reach gateways, and forwarded updates are overheard by
@@ -36,6 +27,7 @@
 #include "fds/detector.h"
 #include "fds/failure_log.h"
 #include "fds/messages.h"
+#include "fds/round_plan.h"
 #include "net/network.h"
 #include "net/node.h"
 #include "transport/sim_transport.h"
@@ -170,17 +162,10 @@ class FdsAgent {
     return restored_from_checkpoint_;
   }
 
-  // --- Round actions, driven by FdsService -----------------------------
-  void begin_epoch(std::uint64_t epoch);
-  void round1_heartbeat();
-  void round2_digest();
-  void round3_update();
-  /// Arms this node's CH-failure evaluation: rank-0 deputies decide
-  /// immediately, rank-k deputies stand by k further Thop (feature F2's
-  /// ranked redundancy — a lower deputy acts only if everyone above it,
-  /// including the CH, stays silent).
-  void deputy_check();
-  void completeness_check();
+  /// Runs one step of the round plan (fds/round_plan.h). kBegin starts
+  /// execution `epoch` on any agent, alive or not; every later step acts on
+  /// the execution this agent last began and is a no-op on a dead node.
+  void run_step(RoundStep step, std::uint64_t epoch);
 
   /// Announces a voluntary departure (group-membership unsubscription) and
   /// leaves the cluster: the CH removes this node as `departed` — not
@@ -191,14 +176,6 @@ class FdsAgent {
   /// unmarked and acts as a fresh subscription (F5).
   void rejoin();
   [[nodiscard]] bool has_left() const { return left_; }
-
-  /// Installed by FdsService on its batched (no-skew) scheduling path, where
-  /// dead agents are skipped entirely: a crashed node no longer receives
-  /// begin_epoch calls, so on recovery the agent reads the service's epoch
-  /// counter through this pointer instead. nullptr (per-agent scheduling,
-  /// service mode) keeps the historical behaviour where begin_epoch reaches
-  /// every agent.
-  void set_epoch_clock(const std::uint64_t* clock) { epoch_clock_ = clock; }
 
   /// Announces a sleep window covering the next `epochs` executions and
   /// powers the radio down. The harness (or application) is responsible for
@@ -222,7 +199,20 @@ class FdsAgent {
   /// FP-EXEMPT'd in src/check/fingerprint.cpp (cfds-lint rule
   /// state-outside-fingerprint enforces this).
   friend class check::StateFingerprinter;
+  /// FdsService runs steps for alive agents only; its lifecycle handler
+  /// hands a recovering agent the epoch it skipped while dead.
+  friend class FdsService;
 
+  void begin_epoch(std::uint64_t epoch);
+  void round1_heartbeat();
+  void round2_digest();
+  void round3_update();
+  /// Arms this node's CH-failure evaluation: rank-0 deputies decide
+  /// immediately, rank-k deputies stand by k further Thop (feature F2's
+  /// ranked redundancy — a lower deputy acts only if everyone above it,
+  /// including the CH, stays silent).
+  void deputy_check();
+  void completeness_check();
   void on_frame(const Reception& reception);
   void on_lifecycle(bool alive);
   void evaluate_ch_failure();
@@ -319,10 +309,6 @@ class FdsAgent {
   std::uint64_t checkpoint_seq_ = 0;
   bool restored_from_checkpoint_ = false;
 
-  /// See set_epoch_clock(). Points at FdsService::current_epoch_ on the
-  /// batched scheduling path; null otherwise.
-  const std::uint64_t* epoch_clock_ = nullptr;
-
   /// Send-side payload pools: each round's emission reuses the previous
   /// epoch's payload object when every receiver has released it
   /// (use_count() == 1 — receivers drop their references at the next
@@ -344,7 +330,7 @@ class FdsAgent {
 // is computed for; other platforms rely on the lint rule alone.
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBCXX__) && \
     !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(FdsAgent) == 704,
+static_assert(sizeof(FdsAgent) == 696,
               "FdsAgent layout changed: update src/check/fingerprint.cpp "
               "(mix or FP-EXEMPT the new member), then this tripwire");
 #endif
@@ -379,24 +365,17 @@ class FdsService {
   /// simulator past the last one. Returns the end time.
   SimTime run_epochs(std::uint64_t count, SimTime start);
 
-  /// Per-node additional clock skew, queried once per (node, epoch) when
-  /// scheduling that node's rounds. Used by the fault injector's
-  /// ClockDriftRamp; nullptr (the default) keeps the batched fast path, so
-  /// fault-free runs schedule exactly as before.
+  /// Per-node clock drift, queried once per (node, epoch) when scheduling
+  /// that node's steps; never negative (the fault injector installs
+  /// fault::clock_drift). With no provider and a zero max_clock_skew every
+  /// execution runs as one sweep event per step over the alive agents; with
+  /// either, each agent gets its own events, offset by round_offset.
   using SkewProvider = std::function<SimTime(NodeId, std::uint64_t epoch)>;
   void set_skew_provider(SkewProvider provider) {
     skew_provider_ = std::move(provider);
   }
 
  private:
-  /// Registers the lifecycle handler that keeps `active_` in sync for the
-  /// agent at `idx` (slot order == NID order == agents_ order).
-  void watch_lifecycle(Node& node, std::size_t idx);
-  /// Points every agent's epoch clock at current_epoch_ (batched path) or
-  /// detaches it (per-agent path). O(n), but runs only when the scheduling
-  /// mode actually changes.
-  void install_epoch_clocks(bool install);
-
   Network& network_;
   FdsConfig config_;
   FdsHooks hooks_;
@@ -408,16 +387,13 @@ class FdsService {
   std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<FdsAgent>> agents_;
 
-  /// Batched path bookkeeping: the round sweeps visit only `active_`
-  /// (agents_ indices of alive nodes, ascending = NID order), so a mostly
-  /// idle world pays per round for its alive population, not its size.
-  /// Dead agents' round actions are all no-ops (every one starts with an
-  /// alive check), so skipping them changes no observable behaviour; the
-  /// one exception — begin_epoch's epoch_ bookkeeping — is covered by the
-  /// epoch clock the recovery path reads (set_epoch_clock).
+  /// The round sweeps visit only `active_` (agents_ indices of alive nodes,
+  /// ascending = NID order), so a mostly idle world pays per round for its
+  /// alive population, not its size. A dead agent's steps past kBegin are
+  /// no-ops, and the one thing kBegin keeps for it, the epoch, is handed
+  /// back on recovery: current_epoch_, the newest execution begun.
   std::vector<std::uint32_t> active_;
   std::uint64_t current_epoch_ = 0;
-  bool epoch_clocks_installed_ = false;
 };
 
 }  // namespace cfds

@@ -99,9 +99,10 @@ struct FdsConfig {
   std::uint32_t reaffiliate_after_missed = 3;
 
   /// Per-node clock skew bound: each node's round actions are offset by a
-  /// fixed draw from [-max_clock_skew, +max_clock_skew]. Zero models the
-  /// paper's assumption that "the clock rate on each host is close to
-  /// accurate"; raising it stress-tests that assumption.
+  /// fixed NID-derived draw from [0, max_clock_skew) (round_offset in
+  /// fds/round_plan.h). Zero models the paper's assumption that "the clock
+  /// rate on each host is close to accurate"; raising it stress-tests that
+  /// assumption.
   SimTime max_clock_skew = SimTime::zero();
 
   /// Crash-recovery extension (beyond the paper's fail-stop model, default

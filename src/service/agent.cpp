@@ -5,6 +5,7 @@
 #include "common/expect.h"
 #include "common/rng.h"
 #include "fds/messages.h"
+#include "fds/round_plan.h"
 #include "radio/payload.h"
 #include "service/directory.h"
 #include "transport/reception.h"
@@ -188,33 +189,19 @@ void ServiceAgent::start(SimTime start, const fault::FaultPlan* plan) {
           };
     }
   }
-  // Deterministic per-endpoint phase offset within a quarter round: with
-  // every endpoint on one machine, perfectly aligned round starts make all
-  // of them wake, broadcast, and drain at the same instant — a thundering
-  // herd whose queueing delay alone can exceed the one-hop bound. Spreading
-  // the starts keeps the per-tick burst small; the offset is a constant
-  // clock bias per endpoint, exactly what tolerate_epoch_skew absorbs.
-  const std::int64_t spread_us = config_.t_hop.as_micros() / 4;
-  std::uint64_t phase_state = node_.id().value();
-  const SimTime phase =
-      spread_us > 0
-          ? SimTime::micros(std::int64_t(
-                splitmix64(phase_state) %
-                static_cast<std::uint64_t>(spread_us)))
-          : SimTime::zero();
+  // Per-endpoint phase within a quarter round (round_offset): with every
+  // endpoint on one machine, perfectly aligned round starts make all of
+  // them wake, broadcast, and drain at the same instant — a thundering herd
+  // whose queueing delay alone can exceed the one-hop bound. The phase is a
+  // constant clock bias per endpoint, exactly what tolerate_epoch_skew
+  // absorbs; the plan's clock drift rides on top.
+  const SimTime bound = SimTime::micros(config_.t_hop.as_micros() / 4);
   for (std::uint64_t k = 0; k < config_.epochs; ++k) {
-    const SimTime t =
-        start + phase + std::int64_t(k) * config_.phi + plan_.skew(k);
-    // Same-instant events fire in schedule order (the embedded simulator's
-    // stable sequence numbers), so begin_epoch always precedes round 1.
-    timers_.schedule_at(t, [this, k] { fds_.begin_epoch(k); });
-    timers_.schedule_at(t, [this] { fds_.round1_heartbeat(); });
-    timers_.schedule_at(t + config_.t_hop, [this] { fds_.round2_digest(); });
-    timers_.schedule_at(t + 2 * config_.t_hop,
-                        [this] { fds_.round3_update(); });
-    timers_.schedule_at(t + 3 * config_.t_hop, [this] { fds_.deputy_check(); });
-    timers_.schedule_at(t + 4 * config_.t_hop,
-                        [this] { fds_.completeness_check(); });
+    const SimTime t = start + std::int64_t(k) * config_.phi +
+                      round_offset(node_.id(), bound, plan_.skew(k));
+    schedule_execution(timers_, t, config_.t_hop, [this, k](RoundStep step) {
+      fds_.run_step(step, k);
+    });
   }
   timers_.schedule_at(start + std::int64_t(config_.epochs) * config_.phi,
                       [this] { done_ = true; });

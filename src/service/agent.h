@@ -5,10 +5,10 @@
 // loopback soak harness (one per thread) share. It owns the node, the
 // directory-installed membership view, the fault DropFilter with its
 // FilteredTransport wrapper, the FdsAgent, and the PlanRuntime, and it
-// replaces FdsService::schedule_epoch as the round driver: all rounds of
-// all configured epochs are scheduled up front on the endpoint's
-// TimerService, offset per-epoch by the plan's clock drift — mirroring the
-// simulated service's schedule exactly, one endpoint at a time.
+// replaces FdsService::schedule_epoch as the round driver: every execution
+// of the round plan (fds/round_plan.h) is scheduled up front on the
+// endpoint's TimerService, offset by round_offset — the same plan the
+// simulated service runs, one endpoint at a time.
 
 #pragma once
 

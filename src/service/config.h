@@ -24,8 +24,8 @@ struct ServiceConfig {
   /// block absorbs the remainder). CH = lowest NID of the block.
   std::uint32_t cluster_size = 8;
 
-  /// One-hop bound Thop, real time. The FDS round offsets (T, T+Thop, ...,
-  /// T+4Thop) and the phi >= 7*Thop constraint carry over unchanged.
+  /// One-hop bound Thop, real time. The round plan (fds/round_plan.h) and
+  /// the phi >= 7*Thop constraint carry over unchanged.
   SimTime t_hop = SimTime::millis(50);
   /// Heartbeat interval phi.
   SimTime phi = SimTime::millis(500);

@@ -93,15 +93,7 @@ void PlanRuntime::install(const fault::FaultPlan& plan, SimTime anchor,
 }
 
 SimTime PlanRuntime::skew(std::uint64_t epoch) const {
-  SimTime extra = SimTime::zero();
-  for (const fault::FaultEvent& d : drifts_) {
-    const std::uint64_t s = base_epoch_ + d.start_epoch;
-    const std::uint64_t e = base_epoch_ + d.end_epoch;
-    if (epoch >= s && epoch < e) {
-      extra += SimTime::micros(d.per_epoch_us * std::int64_t(epoch - s + 1));
-    }
-  }
-  return extra;
+  return fault::clock_drift(drifts_, node_.id().value(), base_epoch_, epoch);
 }
 
 }  // namespace cfds::service

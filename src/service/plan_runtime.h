@@ -59,8 +59,8 @@ class PlanRuntime {
   void install(const fault::FaultPlan& plan, SimTime anchor,
                std::uint64_t base_epoch);
 
-  /// This endpoint's clock-drift offset for `epoch` (zero outside every
-  /// drift window — the resync the plan format promises).
+  /// This endpoint's clock-drift offset for `epoch` (fault::clock_drift:
+  /// zero outside every drift window, never negative).
   [[nodiscard]] SimTime skew(std::uint64_t epoch) const;
 
  private:

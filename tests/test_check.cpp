@@ -235,6 +235,46 @@ TEST(ExplorerTest, ReductionPreservesTheViolationSet) {
   EXPECT_EQ(reduced.unique_states, full.unique_states);
 }
 
+// Exact exploration sizes of clean configs from tools/check_model.sh. Any
+// change to the schedule the world drives (round order, crossings, fault
+// points) or to what a fingerprint covers moves these numbers; a refactor
+// that claims to keep the protocol's behaviour must keep them.
+TEST(ExplorerTest, PinnedConfigsExploreExactlyTheKnownStateSpace) {
+  struct Pinned {
+    const char* name;
+    CheckOptions opts;
+    std::uint64_t runs, pruned, unique;
+  };
+  CheckOptions adaptive = small_world();
+  adaptive.max_crashes = 1;
+  adaptive.max_recoveries = 1;
+  adaptive.max_drops = 2;
+  adaptive.adaptive = true;
+  CheckOptions checkpoint = small_world();
+  checkpoint.epochs = 3;
+  checkpoint.max_crashes = 1;
+  checkpoint.max_recoveries = 1;
+  checkpoint.checkpoint = true;
+  checkpoint.checkpoint_interval = 1;
+  CheckOptions unreduced = small_world();
+  unreduced.max_crashes = 1;
+  unreduced.max_drops = 1;
+  unreduced.reduction = false;
+  const Pinned pinned[] = {
+      {"adaptive", adaptive, 9145, 7680, 8349},
+      {"checkpoint interval 1", checkpoint, 715, 668, 462},
+      {"no reduction", unreduced, 556, 396, 1093},
+  };
+  for (const Pinned& p : pinned) {
+    const ExploreResult r = explore(p.opts, ExploreLimits{});
+    EXPECT_FALSE(r.counterexample.has_value()) << p.name;
+    EXPECT_FALSE(r.budget_exhausted) << p.name;
+    EXPECT_EQ(r.runs, p.runs) << p.name;
+    EXPECT_EQ(r.pruned_runs, p.pruned) << p.name;
+    EXPECT_EQ(r.unique_states, p.unique) << p.name;
+  }
+}
+
 TEST(ExplorerTest, ReplayRejectsAnExhaustedChoiceTrace) {
   CheckOptions opts = small_world();
   opts.max_drops = 1;

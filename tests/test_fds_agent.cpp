@@ -305,6 +305,117 @@ TEST(FdsPeerForwarding, MissedUpdateRecoveredViaRequest) {
 }
 
 // ---------------------------------------------------------------------------
+// Scheduling: the sweep (no phase) and per-agent (phased) paths of
+// FdsService::schedule_epoch.
+
+/// The FdsFixture cluster at 20% loss, with every epoch scheduled up
+/// front: 800 ms apart from t = 0, so crashes and recoveries land between
+/// the steps of a known execution.
+struct LossyCluster {
+  LossyCluster() {
+    NetworkConfig net_config;
+    net_config.seed = 13;
+    network = std::make_unique<Network>(net_config,
+                                        std::make_unique<BernoulliLoss>(0.2));
+    network->add_node({0.0, 0.0});
+    for (int i = 1; i < 8; ++i) {
+      const double angle = 2.0 * M_PI * double(i) / 7.0;
+      network->add_node({60.0 * std::cos(angle), 60.0 * std::sin(angle)});
+    }
+    std::vector<MembershipView*> ptrs;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      views.push_back(std::make_unique<MembershipView>(NodeId{i}));
+      ptrs.push_back(views.back().get());
+    }
+    FdsConfig config;
+    config.heartbeat_interval = SimTime::millis(800);
+    fds = std::make_unique<FdsService>(*network, ptrs, config);
+    ClusterDirectory::single_cluster(8).install(*network, ptrs);
+  }
+
+  static SimTime epoch_start(std::uint64_t epoch) {
+    return SimTime::millis(800 * std::int64_t(epoch));
+  }
+  void run(std::uint64_t epochs) {
+    for (std::uint64_t e = 0; e < epochs; ++e) {
+      fds->schedule_epoch(e, epoch_start(e));
+    }
+    network->simulator().run_until(epoch_start(epochs));
+  }
+
+  std::unique_ptr<Network> network;
+  std::vector<std::unique_ptr<MembershipView>> views;
+  std::unique_ptr<FdsService> fds;
+};
+
+TEST(FdsScheduling, RecoveredMemberResumesTheCurrentEpoch) {
+  // The member is dead when epoch 3 begins, so no step of epoch 3 reaches
+  // it before it recovers between R-1 and R-2; it must still read epoch 3.
+  // Once with every node on the sweep, once with node 2 phased, which moves
+  // every agent onto its own events.
+  for (const bool phased : {false, true}) {
+    LossyCluster world;
+    if (phased) {
+      world.fds->set_skew_provider([](NodeId id, std::uint64_t) {
+        return id == NodeId{2} ? SimTime::millis(30) : SimTime::zero();
+      });
+    }
+    Network& net = *world.network;
+    const NodeId member{5};
+    const SimTime recover_at =
+        LossyCluster::epoch_start(3) + SimTime::millis(50);
+    net.schedule_crash(member,
+                       LossyCluster::epoch_start(1) + SimTime::millis(10));
+    net.schedule_recover(member, recover_at);
+    std::uint64_t epoch_after_recovery = 0;
+    net.simulator().schedule_at(recover_at, [&] {
+      epoch_after_recovery = world.fds->agent_for(member).current_epoch();
+    });
+    world.run(5);
+    EXPECT_EQ(epoch_after_recovery, 3u) << "phased=" << phased;
+    EXPECT_EQ(world.fds->agent_for(member).current_epoch(), 4u)
+        << "phased=" << phased;
+  }
+}
+
+TEST(FdsScheduling, ZeroDriftProviderDetectsExactlyAsTheSweep) {
+  // Per-agent events at zero offset must reproduce the sweep: same
+  // deciders, epochs, verdicts and instants, under loss and crashes of a
+  // member and then of the CH.
+  struct Detection {
+    NodeId decider;
+    std::uint64_t epoch;
+    std::vector<NodeId> failed;
+    std::int64_t at_us;
+    bool operator==(const Detection&) const = default;
+  };
+  auto detections = [](bool provider) {
+    LossyCluster world;
+    if (provider) {
+      world.fds->set_skew_provider(
+          [](NodeId, std::uint64_t) { return SimTime::zero(); });
+    }
+    Network& net = *world.network;
+    std::vector<Detection> seen;
+    world.fds->hooks().on_detection = [&](NodeId decider, std::uint64_t epoch,
+                                          const std::vector<NodeId>& failed,
+                                          bool) {
+      seen.push_back(
+          {decider, epoch, failed, net.simulator().now().as_micros()});
+    };
+    net.schedule_crash(NodeId{5},
+                       LossyCluster::epoch_start(1) + SimTime::millis(10));
+    net.schedule_crash(NodeId{0},
+                       LossyCluster::epoch_start(3) + SimTime::millis(10));
+    world.run(6);
+    return seen;
+  };
+  const std::vector<Detection> sweep = detections(false);
+  ASSERT_GE(sweep.size(), 2u);
+  EXPECT_EQ(detections(true), sweep);
+}
+
+// ---------------------------------------------------------------------------
 // Epoch-skew tolerance edges (FdsConfig::tolerate_epoch_skew).
 
 class SkewTolerantFixture : public FdsFixture {
