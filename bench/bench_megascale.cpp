@@ -24,8 +24,9 @@
 //                   100000 to bound the job)
 //   --epochs E      timed epochs per decade (default 10)
 //
-// BENCH_megascale.json holds the committed baseline rows; check_megascale.py
-// gates fresh runs against them (floor on events/s, ceiling on bytes/node).
+// BENCH_megascale.json holds the committed baseline rows; tools/check_bench.py
+// gates fresh runs against them (floor on events/s, ceiling on formation ms
+// and bytes/node).
 
 #include <sys/resource.h>
 
@@ -111,8 +112,8 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
   FdsConfig config;  // defaults: the simulator hard-boundary path
   config.heartbeat_interval = SimTime::seconds(2);
   FdsService fds(network, views, config);
-  // Modest even-spread pre-size; the calendar queue's spare-vector pool
-  // grows and recycles the burst-band buckets from the first epochs on.
+  // Modest pre-size; the calendar queue adds blocks on demand beyond it and
+  // recycles them from the first epochs on.
   network.simulator().reserve(std::size_t{1} << 19);
 
   const SimTime phi = config.heartbeat_interval;

@@ -9,16 +9,22 @@
 //
 // Ordering contract: pops come out in ascending (time, sequence) order —
 // exactly the order the binary-heap kernel produces — so switching the
-// queue implementation cannot change a single event firing. Buckets
-// accumulate trivially-copyable 24-byte entries unsorted (the callable
-// lives in the simulator's timer slab, not in the queue), so an insert is
-// one push_back with no sifting. A bucket is sorted latest-first exactly
-// once, when it becomes the earliest occupied bucket, and then drained
-// from the back in (time, sequence) order; an insert into an
-// already-drained bucket (a sub-bucket-width delay) splices into place near
-// the back, or marks the bucket for re-sorting when the splice point is too
-// deep. Buckets partition events by time, so draining buckets in
-// time order yields the global (time, sequence) order.
+// queue implementation cannot change a single event firing.
+//
+// Storage: a bucket is an unsorted chain of fixed-size blocks of 24-byte
+// entries (the callable lives in the simulator's timer slab), all blocks
+// from one shared free list, so queue memory follows the peak pending count
+// wherever a burst sits on the wheel, and a steady state that recycles
+// blocks allocates nothing. Every entry that fires before `active_end_`,
+// the end of the last activated bucket's window, lives instead in one
+// `active_` vector, sorted latest-first and drained from the back. When it
+// runs dry, the earliest occupied bucket is activated: its blocks are
+// copied into `active_`, handed back to the free list, and `active_` is
+// sorted once. Buckets partition events by time, so activating them in time
+// order yields the global (time, sequence) order. An insert within the
+// activated window (a sub-bucket-width delay) splices into place near the
+// back of `active_`, or marks it for re-sorting when the splice point is
+// deep; an insert before that window hands the window back to its bucket.
 //
 // Horizon invariant: an entry may only be inserted for a time in
 // [now, now + horizon()]. Inserting beyond the horizon would wrap the wheel
@@ -26,18 +32,17 @@
 // bucket with near entries and would fire a lap early — so insert() aborts
 // loudly (CFDS_EXPECT) instead. Callers with unbounded delays (the
 // simulator's far-event overflow heap) must route such events elsewhere;
-// see docs/PERF.md.
-//
-// Cursor invariant: all live entries fire at or after `now` (the kernel
-// pops events in order), so every bucket strictly before now's bucket is
-// empty and the cursor can advance to now for free. The occupancy bitmap
-// (one bit per bucket, scanned a word at a time) makes "find the earliest
-// non-empty bucket" cheap even when the pending events are sparse in time.
+// see docs/PERF.md. Every live entry fires at or after `now` (the kernel
+// pops events in order), so bucket-resident entries lie in
+// [max(now, active_end_), now + horizon()], less than one lap: ring order
+// from there is time order, and an occupancy bitmap (one bit per bucket,
+// scanned a word at a time) finds the earliest non-empty bucket cheaply.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -71,11 +76,11 @@ struct FiresLater {
 
 /// Bounded-horizon calendar queue over EventEntry. Not a drop-in
 /// std::priority_queue: insert/peek/pop take `now` so the wheel can enforce
-/// the horizon invariant and advance its cursor.
+/// the horizon invariant and start its bucket scan at the present.
 class CalendarQueue {
  public:
-  /// Bucket width. 512us keeps per-bucket heaps small (tens of entries at
-  /// simulated-dense loads) while the whole wheel stays a few hundred KB.
+  /// Bucket width. 512us keeps per-bucket sorts small (tens of entries at
+  /// simulated-dense loads) while the wheel spans seconds.
   static constexpr std::int64_t kBucketWidthUs = 512;
   /// Bucket count (power of two). The wheel must hold horizon() plus the
   /// bucket `now` sits in plus one guard bucket without wrapping:
@@ -97,96 +102,65 @@ class CalendarQueue {
   /// now <= entry.when <= now + horizon().
   void insert(const EventEntry& entry, SimTime now);
 
-  /// Builds the wheel eagerly and gives every bucket capacity for
-  /// `per_bucket` entries, so workloads that stay within it never allocate
-  /// on the insert path (first-touch growth is otherwise lazy, amortized).
-  void reserve(std::size_t per_bucket);
+  /// Pre-allocates blocks for `pending` entries, so a workload that never
+  /// holds more at once never allocates on the insert path.
+  void reserve(std::size_t pending);
 
-  /// Earliest (time, sequence) entry, or nullptr when empty. Advances the
-  /// cursor over buckets that `now` has already passed.
+  /// Earliest (time, sequence) entry, or nullptr when empty. May activate
+  /// the earliest occupied bucket.
   [[nodiscard]] const EventEntry* peek(SimTime now);
 
   /// Removes and returns the earliest (time, sequence) entry. Must not be
   /// called on an empty queue.
   EventEntry pop_min(SimTime now);
 
-  /// Free peek: the earliest entry when it is immediately known (the
-  /// min-bucket memo is valid and that bucket is sorted), else nullptr.
-  /// Never scans the bitmap or sorts a bucket — the kernel uses it after a
-  /// pop to prefetch the next event's timer slot while the popped event
-  /// runs.
+  /// Free peek: the earliest entry when it is immediately known (the active
+  /// window is non-empty and sorted), else nullptr. Never scans the bitmap
+  /// or sorts — the kernel uses it after a pop to prefetch the next event's
+  /// timer slot while the popped event runs.
   [[nodiscard]] const EventEntry* peek_free() const {
-    if (min_bucket_ == kNoBucket) return nullptr;
-    const Bucket& bucket = buckets_[min_bucket_];
-    if (!bucket.sorted || bucket.entries.empty()) return nullptr;
-    return &bucket.entries.back();
+    return active_sorted_ && !active_.empty() ? &active_.back() : nullptr;
   }
 
  private:
-  /// One wheel slot. Entries accumulate unsorted; `sorted` is set when the
-  /// bucket is sorted latest-first (back() is the earliest) on first drain.
-  /// A later insert either splices into place near the back (short-delay
-  /// events, bounded memmove) or clears the flag for a deferred re-sort.
-  struct Bucket {
-    std::vector<EventEntry> entries;
-    bool sorted = false;
+  /// Entries per block. A burst bucket holds hundreds to thousands of
+  /// entries, a timer bucket a handful; 32 (768 bytes) keeps the slack of a
+  /// bucket's partly-filled head block small next to either.
+  static constexpr std::size_t kBlockEntries = 32;
+  /// Blocks per allocation when the free list runs dry (~50 KB).
+  static constexpr std::size_t kChunkBlocks = 64;
+
+  /// A link in a bucket's chain or the free list. Only a chain's head block
+  /// can be partly filled: appends start a new head when it is full.
+  struct Block {
+    Block* next = nullptr;
+    std::uint32_t count = 0;
+    EventEntry entries[kBlockEntries];
   };
 
-  /// Lazily sizes the wheel (first insert) so heap-mode simulators and
-  /// simulators that never schedule pay nothing.
-  void ensure_buckets();
-  /// Returns a vector to the capacity-sorted spare pool (no-op for
-  /// capacity 0). Drained buckets only donate at kSpareWorthy or above;
-  /// trade-up displacements of any size are pooled.
-  void stash(std::vector<EventEntry>&& donor);
-  /// Sorts `bucket` latest-first if it is not already sorted.
-  static void ensure_sorted(Bucket& bucket);
-  /// Moves the cursor to now's bucket. Every bucket it skips is provably
-  /// empty (live entries fire at or after now).
-  void advance(SimTime now);
-  /// Index of the first non-empty bucket at or after the cursor, found via
-  /// the occupancy bitmap. Pre: size_ > 0.
-  [[nodiscard]] std::size_t first_occupied() const;
+  void grow();
+  void append(const EventEntry& entry);
+  /// Moves the earliest occupied bucket at or after max(now, active_end_)
+  /// into active_, sorted. Pre: active_ is empty and size_ > 0.
+  void activate(SimTime now);
 
   [[nodiscard]] static std::size_t bucket_index(SimTime when) {
     return std::size_t((when.as_micros() / kBucketWidthUs) &
                        std::int64_t(kNumBuckets - 1));
   }
 
-  static constexpr std::size_t kNoBucket = ~std::size_t{0};
-
-  /// Minimum capacity worth recycling through spare_. Buckets that only
-  /// ever hold a handful of timers keep their small vectors in place;
-  /// burst-grown vectors (a round's deliveries) circulate.
-  static constexpr std::size_t kSpareWorthy = 256;
-
-  /// Ring distance from the cursor to `idx` (how far ahead the bucket is,
-  /// modulo the wheel). Within one lap — which the horizon invariant
-  /// guarantees for every live bucket — smaller distance means earlier.
-  [[nodiscard]] std::size_t ring_distance(std::size_t idx) const {
-    return (idx - cursor_) & (kNumBuckets - 1);
-  }
-
-  std::vector<Bucket> buckets_;
+  /// Head block of each bucket's chain (nullptr: empty). Sized on first
+  /// use, so simulators that never schedule into the wheel pay nothing.
+  std::vector<Block*> heads_;
   std::vector<std::uint64_t> occupied_;  // one bit per bucket
-  /// Drained buckets donate their (empty, warm) entry vectors here and the
-  /// next bucket to activate adopts one. Bursty workloads — a round's
-  /// deliveries all land within Thop of the sweep — concentrate thousands
-  /// of entries in a narrow band of buckets, and that band drifts around
-  /// the wheel when the schedule period is not commensurate with the wheel
-  /// period. Recycling lets the grown capacity follow the hot phase instead
-  /// of being re-grown (and left stranded) in every bucket the band ever
-  /// visits: steady-state inserts stay allocation-free and total capacity
-  /// is bounded by the hot set, not by the laps driven.
-  std::vector<std::vector<EventEntry>> spare_;
-  std::size_t cursor_ = 0;          // bucket index window_start_ maps to
-  SimTime window_start_ = SimTime::zero();  // cursor bucket's start time
+  std::vector<std::unique_ptr<Block[]>> chunks_;  // owns every block
+  Block* free_ = nullptr;
+  /// Every entry firing before active_end_, latest-first when
+  /// active_sorted_.
+  std::vector<EventEntry> active_;
+  SimTime active_end_ = SimTime::zero();
+  bool active_sorted_ = true;
   std::size_t size_ = 0;
-  /// Memo of the earliest occupied bucket, maintained incrementally by
-  /// insert (ring-distance compare) and invalidated when that bucket
-  /// drains, so the kernel's peek→pop pair costs one bitmap scan per
-  /// drained bucket instead of one per call.
-  std::size_t min_bucket_ = kNoBucket;
 };
 
 }  // namespace cfds

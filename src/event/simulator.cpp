@@ -99,13 +99,7 @@ TimerHandle Simulator::schedule_after(SimTime delay, Action action) {
 void Simulator::reserve(std::size_t pending_capacity) {
   heap_.reserve(pending_capacity);
   slots_.reserve(pending_capacity);
-  if (mode_ == QueueMode::kCalendar) {
-    // Spread the budget across the wheel (with a floor of a few entries per
-    // bucket); heavily skewed bucket loads beyond that grow lazily, once.
-    const std::size_t per_bucket =
-        std::max<std::size_t>(4, pending_capacity / CalendarQueue::kNumBuckets);
-    calendar_.reserve(per_bucket);
-  }
+  if (mode_ == QueueMode::kCalendar) calendar_.reserve(pending_capacity);
 }
 
 bool Simulator::peek_next(EventEntry* entry, QueueSource* source) {
@@ -193,8 +187,8 @@ void Simulator::run_until(SimTime deadline) {
   while (peek_next(&head, &source)) {
     if (head.when > deadline) break;
     // Pop straight from the source queue the peek identified — no second
-    // head comparison. The calendar's pop hits its min-bucket memo that the
-    // peek just refreshed.
+    // head comparison. The calendar's pop finds the head the peek just
+    // activated or sorted at the back of its active window.
     if (source == QueueSource::kCalendarQueue) {
       (void)calendar_.pop_min(now_);
       // Pull the next event's timer slot toward the cache while this event

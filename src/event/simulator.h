@@ -26,10 +26,13 @@
 //   * The pending queue is, by default, a bounded-horizon CalendarQueue
 //     (src/event/calendar_queue.h): O(1)-ish bucket inserts and pops for
 //     the near events that dominate the workload (channel deliveries are
-//     bounded by Thop, protocol timers by a few phi). Events scheduled
-//     beyond the calendar's horizon go to a binary-heap overflow; the two
-//     streams merge by (time, sequence), so firing order is bit-identical
-//     to the pure binary heap. QueueMode::kHeap (the runner tools'
+//     bounded by Thop, protocol timers by a few phi). Its buckets are
+//     chains of fixed-size blocks from one free list, and the earliest
+//     bucket is drained from one sorted window, so queue memory follows
+//     the peak pending count and recycles without allocating. Events
+//     scheduled beyond the calendar's horizon go to a binary-heap
+//     overflow; the two streams merge by (time, sequence), so firing order
+//     is bit-identical to the pure binary heap. QueueMode::kHeap (the runner tools'
 //     --no-calendar flag) keeps the pure heap as an always-available
 //     fallback and as the property-test oracle for the calendar.
 //
@@ -251,9 +254,10 @@ class Simulator {
   /// `index`. Draws the next sequence number, exactly like schedule_after.
   void add_batch_event(BatchRef batch, SimTime delay, std::uint32_t index);
 
-  /// Pre-sizes the overflow heap and timer slab so a simulation with at
-  /// most `pending_capacity` simultaneously pending events never allocates
-  /// on the schedule path. Optional — all structures also grow on demand.
+  /// Pre-sizes the overflow heap, timer slab and calendar blocks so a
+  /// simulation with at most `pending_capacity` simultaneously pending
+  /// events never allocates on the schedule path. Optional — all structures
+  /// also grow on demand.
   void reserve(std::size_t pending_capacity);
 
   /// Runs events until the queue empties or the clock passes `deadline`.

@@ -325,13 +325,9 @@ TEST(LossModels, DistanceLossGrowsWithDistance) {
 TEST_F(ChannelFixture, SteadyStateBroadcastIsAllocationFreeRegardlessOfFanout) {
   // A broadcast to k receivers must cost O(1) allocations, not O(k): one
   // pooled Transmission record shared by every delivery, one batch timer
-  // slot, and k trivially-copyable queue entries in pre-grown buckets. At
-  // steady state (slab, pool, and buckets warmed) that is zero allocations
-  // per broadcast — for 8 receivers or 64.
-  // Delivery delays spread each broadcast across ~160 calendar buckets and
-  // simulated time keeps advancing into fresh ones, so pre-grow the wheel
-  // (Simulator::reserve spreads the budget per bucket).
-  sim_.reserve(8 * CalendarQueue::kNumBuckets);
+  // slot, and k trivially-copyable queue entries in recycled calendar
+  // blocks. At steady state (slab, pool, and blocks warmed) that is zero
+  // allocations per broadcast — for 8 receivers or 64.
   Radio& sender = add_radio(0, {50, 50});
   constexpr std::uint32_t kReceivers = 64;
   int received = 0;

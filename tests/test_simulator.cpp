@@ -293,8 +293,8 @@ struct Firing {
 };
 
 /// Randomized workload: a mix of near events (calendar buckets), same-tick
-/// ties, cancellations, far events (the calendar's overflow heap), and
-/// events scheduled from inside callbacks. Driven by a seeded Rng, so both
+/// ties, cancellations, far events (the calendar's overflow heap), events
+/// scheduled from inside callbacks, and one idle jump of over a wheel lap. Driven by a seeded Rng, so both
 /// queue modes replay the identical operation stream.
 std::vector<Firing> run_random_workload(QueueMode mode, std::uint64_t seed) {
   Simulator sim(mode);
@@ -341,6 +341,15 @@ std::vector<Firing> run_random_workload(QueueMode mode, std::uint64_t seed) {
     // Drain partway so scheduling interleaves with firing.
     sim.run_until(sim.now() + SimTime::micros(
         std::int64_t(rng.below(400'000))));
+    if (round == 20) {
+      // Fire every near event, then jump the clock more than one wheel lap
+      // while only far (overflow-heap) events are pending: the next rounds'
+      // near inserts must be found from now's bucket, not from where the
+      // calendar last left off a lap ago.
+      sim.run_until(sim.now() + SimTime::seconds(1));
+      sim.run_until(sim.now() + CalendarQueue::horizon() +
+                    SimTime::micros(std::int64_t(rng.below(200'000))));
+    }
   }
   sim.run_to_completion();
   return firings;
@@ -435,10 +444,6 @@ TEST(SimulatorBatch, SlotIsRecycledAfterTheLastFiring) {
 
 TEST(SimulatorBatch, BatchSchedulingIsAllocationFree) {
   Simulator sim;
-  // Simulated time keeps advancing into fresh calendar buckets, so the
-  // reserve must be large enough to pre-grow every bucket past this
-  // workload's peak per-bucket occupancy (16 entries within one width).
-  sim.reserve(16 * CalendarQueue::kNumBuckets);
   int firings = 0;
   const auto fire_batch = [&] {
     auto batch = sim.begin_batch(
@@ -455,6 +460,45 @@ TEST(SimulatorBatch, BatchSchedulingIsAllocationFree) {
   });
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(firings, 200 * 16);
+}
+
+TEST(SimulatorBatch, DriftingBurstsStopAllocatingAfterOneLap) {
+  // A round's deliveries are a burst ~Thop wide that recurs every period.
+  // When the period is not a multiple of the wheel's, each lap puts the
+  // burst in different buckets; the calendar must recycle the burst's
+  // storage instead of growing it in every bucket the band visits. No
+  // reserve: the first lap warms up whatever the burst needs.
+  Simulator sim;
+  const SimTime wheel_period = SimTime::micros(
+      std::int64_t(CalendarQueue::kNumBuckets) * CalendarQueue::kBucketWidthUs);
+  const SimTime period = SimTime::micros(1'000'037);
+  constexpr std::uint32_t kFanout = 4096;
+  int firings = 0;
+  const auto burst = [&] {
+    auto batch = sim.begin_batch(
+        [](void* ctx, std::uint32_t) { ++*static_cast<int*>(ctx); },
+        &firings);
+    // Delays spread over [10, 90) ms, as channel deliveries over Thop.
+    for (std::uint32_t i = 0; i < kFanout; ++i) {
+      sim.add_batch_event(
+          batch, SimTime::micros(10'000 + std::int64_t(i * 7919 % 80'000)),
+          i);
+    }
+    sim.run_until(sim.now() + period);
+  };
+  int bursts = 0;
+  while (sim.now() < wheel_period) {
+    burst();
+    ++bursts;
+  }
+  const std::size_t allocations = count_allocations([&] {
+    while (sim.now() < wheel_period * 3) {
+      burst();
+      ++bursts;
+    }
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(firings, bursts * int(kFanout));
 }
 
 }  // namespace

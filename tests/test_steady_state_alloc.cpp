@@ -107,12 +107,11 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
   config.heartbeat_interval = SimTime::seconds(2);
   FdsService fds(network, views, config);
 
-  // Pre-size the event queue. Epoch times are not commensurate with the
-  // calendar wheel's period, so each epoch's events land in different
-  // buckets; without an explicit reserve every bucket's vector would grow
-  // the first time its turn comes — amortized zero over a long run, but
-  // visible in a two-epoch window. reserve() spreads capacity across the
-  // wheel (the megascale bench does the same).
+  // Pre-size the event queue above the round burst's peak (~4.3e5 pending
+  // deliveries at this n), as the megascale bench does. Without it the
+  // calendar's blocks and the timer slab grow to the largest burst the
+  // warm-up happens to meet, so a measured epoch whose burst peaks a little
+  // higher than every warm-up epoch's would allocate.
   network.simulator().reserve(std::size_t{1} << 19);
 
   const SimTime phi = config.heartbeat_interval;
@@ -130,10 +129,9 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
   // transmission slab, evidence tables, payload pools) and the first-epoch
   // subscription round (every node starts unmarked, so epoch 0 carries
   // admissions and membership snapshots). Several epochs, not one: pooled
-  // buffers pair with different demand each epoch (calendar spare vectors
-  // with buckets, transmissions with senders, digest slots with digest
-  // sizes), so the capacity population takes a few epochs to cover the
-  // worst per-epoch pairing.
+  // buffers pair with different demand each epoch (transmissions with
+  // senders, digest slots with digest sizes), so the capacity population
+  // takes a few epochs to cover the worst per-epoch pairing.
   run_epochs(6);
 
   g_allocations.store(0, std::memory_order_relaxed);

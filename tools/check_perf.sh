@@ -6,8 +6,9 @@
 # data races on the schedule/cancel/fire paths), then checks that the fig5
 # Monte-Carlo JSONL is byte-identical across thread counts AND across event
 # queue implementations (calendar queue vs the --no-calendar binary heap),
-# and finally gates the megascale n=10^5 decade (events/s floor, bytes/node
-# ceiling) against the committed BENCH_megascale.json baseline.
+# and finally gates the full bench_kernel study and the megascale decades up
+# to n=10^5 (rate floors, ms and bytes/node ceilings) against every
+# committed BENCH_kernel.json / BENCH_megascale.json row they produce.
 #
 # Usage: tools/check_perf.sh [build-dir-prefix]
 #   Build trees land in <prefix>-release/ and <prefix>-tsan/
@@ -62,10 +63,13 @@ if ! cmp -s "$tmp/fig5.t8.jsonl" "$tmp/fig5.heap.jsonl"; then
   exit 1
 fi
 
-echo "== megascale: n=10^5 decade vs committed BENCH_megascale.json"
+echo "== bench gate: kernel study + megascale to n=10^5 vs committed rows"
+"./$prefix-release/bench/bench_kernel" --out "$tmp/kernel.jsonl" \
+    --benchmark_filter=SKIPALL >/dev/null
 "./$prefix-release/bench/bench_megascale" --max-nodes 100000 \
     --threads 1 --out "$tmp/megascale.jsonl" --no-wall-time
-python3 tools/check_megascale.py --fresh "$tmp/megascale.jsonl"
+python3 tools/check_bench.py --fresh "$tmp/kernel.jsonl" \
+    --fresh "$tmp/megascale.jsonl"
 
 echo "OK: smoke benches passed, fig5 JSONL byte-identical across threads" \
-     "and queue implementations, megascale within floor/ceiling"
+     "and queue implementations, bench rows within floor/ceiling"
